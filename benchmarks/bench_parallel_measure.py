@@ -79,7 +79,7 @@ def _measure(jobs: int, n_points: int, store_dir: Path):
     engine = MeasurementEngine(
         cache_dir=None,
         artifact_dir=str(store_dir / "artifacts"),
-        memo_path=str(store_dir / "sim_memo.json"),
+        memo_path=str(store_dir / "store.sqlite"),
     )
     t0 = time.perf_counter()
     if jobs == 1:

@@ -72,7 +72,7 @@ def _accurate_cold_seconds_per_point(workload, points, store):
     engine = MeasurementEngine(
         cache_dir=None,
         artifact_dir=str(store / "artifacts"),
-        memo_path=str(store / "sim_memo.json"),
+        memo_path=str(store / "store.sqlite"),
     )
     t0 = time.perf_counter()
     for p in points:

@@ -106,6 +106,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.store import default_cache_dir
+
 
 def _add_flag_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -427,10 +429,7 @@ def _measure_engine(args):
 
     if getattr(args, "oracle", "accurate") != "static":
         return default_engine()
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if cache_dir.lower() in ("0", "off", "none", ""):
-        cache_dir = None
-    return MeasurementEngine(mode="static", cache_dir=cache_dir)
+    return MeasurementEngine(mode="static", cache_dir=default_cache_dir())
 
 
 def _measure_single(args) -> int:
@@ -504,7 +503,7 @@ def _measure_random_points(args) -> int:
     for i, m in enumerate(measurements):
         print(
             f"  point {i:3d}: {m.cycles:12.0f} cycles "
-            f"(±{m.sampling_error:.2f}%, {m.instructions} instructions)"
+            f"(±{m.sampling_error * 100:.2f}%, {m.instructions} instructions)"
         )
     cycles = [m.cycles for m in measurements]
     print(
@@ -1017,10 +1016,8 @@ def cmd_analyze(args) -> int:
 
 def _metrics_path() -> Optional[Path]:
     """Where cross-run metrics accumulate; None when persistence is off."""
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if cache_dir.lower() in ("0", "off", "none", ""):
-        return None
-    return Path(cache_dir) / "metrics.json"
+    cache_dir = default_cache_dir()
+    return None if cache_dir is None else Path(cache_dir) / "metrics.json"
 
 
 def _trace_out_dir() -> Path:

@@ -17,8 +17,11 @@ Caching layers (see ``docs/SIMULATOR.md`` for keys and invalidation):
   timing key) at run and sampling-unit granularity
   (:mod:`repro.sim.memo`);
 * (cycles, checksum) results are memoized on the full point, optionally
-  persisted to ``.repro_cache/measurements.json`` so the benchmark suite
-  reuses measurements across processes.
+  persisted to the SQLite store ``.repro_cache/store.sqlite``
+  (:mod:`repro.store`, shared with the timing memo) so the benchmark
+  suite reuses measurements across processes.  The
+  ``measurements.json`` files of earlier versions are ignored and can
+  be deleted.
 
 Design points are independent of one another, so batches of them are
 embarrassingly parallel: :meth:`MeasurementEngine.measure_many` /
@@ -34,18 +37,15 @@ count.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import json
 import multiprocessing
 import os
-import tempfile
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.codegen import COMPILER_VERSION, compile_module
 from repro.harness.artifacts import ArtifactStore
@@ -65,7 +65,8 @@ from repro.opt.flags import CompilerConfig
 from repro.sim import simulate
 from repro.sim.config import MicroarchConfig
 from repro.sim.func import execute
-from repro.sim.memo import TimingMemo
+from repro.sim.memo import TimingMemo, timing_key
+from repro.store import STORE_FILE, Store, default_cache_dir, md5_hex
 from repro.workloads import get_workload
 
 _TRACE_HITS = counter("measure.trace_cache.hits")
@@ -82,20 +83,6 @@ _SIMULATIONS = counter("measure.simulations")
 # parallel runs of the same point set bit-identical in `repro stats`.
 _BATCH_SUBMITTED = counter("measure.batch.submitted")
 _WORKER_MS = histogram("measure.batch.worker_ms")
-
-
-def _md5_hex(data: bytes) -> str:
-    """md5 hexdigest usable on FIPS-enabled Pythons.
-
-    The fingerprint is a cache key, not a security boundary, so it must
-    be declared as such (``usedforsecurity=False``) where the kwarg
-    exists; older signatures (<3.9 style) take no kwarg at all.
-    """
-    try:
-        h = hashlib.md5(data, usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(data)
-    return h.hexdigest()
 
 
 def default_jobs() -> int:
@@ -140,8 +127,9 @@ class MeasurementEngine:
     smarts_interval:
         Sampling interval for SMARTS (1 unit in every N measured).
     cache_dir:
-        Directory for the persistent measurement cache; None disables
-        persistence (in-memory caching still applies).
+        Directory for the persistent store (``<cache_dir>/store.sqlite``,
+        see :mod:`repro.store`); None disables persistence (in-memory
+        caching still applies).
     max_cached_traces:
         Traces are large; only this many binaries+traces stay resident.
     jobs:
@@ -153,9 +141,9 @@ class MeasurementEngine:
         ``<cache_dir>/artifacts`` when ``cache_dir`` is set; None with
         no ``cache_dir`` disables it.
     memo_path:
-        File for the persistent SMARTS timing memo
-        (:class:`repro.sim.memo.TimingMemo`).  Defaults to
-        ``<cache_dir>/sim_memo.json`` when ``cache_dir`` is set.
+        SQLite file for the persistent SMARTS timing memo
+        (:class:`repro.sim.memo.TimingMemo`).  Defaults to the results'
+        store, ``<cache_dir>/store.sqlite``, when ``cache_dir`` is set.
     """
 
     def __init__(
@@ -175,21 +163,32 @@ class MeasurementEngine:
         #: LRU of (exe, functional) keyed on (workload, input, compiler
         #: key, issue width); hits move the entry to the MRU end.
         self._trace_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: Read cache over the store; misses read through to it.
         self._result_cache: Dict[str, Measurement] = {}
-        self._dirty = False
+        #: Results added since the last save (with a store only).
+        self._unsaved: Dict[str, Measurement] = {}
         self.simulations = 0
         self.compilations = 0
         #: EWMA of measured per-point seconds keyed on (workload, input);
         #: feeds the chunk planner's cost model.
         self._point_cost: Dict[Tuple[str, str], float] = {}
-        self._cache_path: Optional[Path] = None
+        #: Static estimates are keyed on the cost-model constants in
+        #: force when the engine was created.
+        self._const_digest = ""
+        if mode == "static":
+            from repro.analysis.static.costmodel import CONST
+
+            self._const_digest = md5_hex(
+                json.dumps(CONST, sort_keys=True).encode()
+            )[:10]
+        self._store: Optional[Store] = None
         if cache_dir is not None:
-            self._cache_path = Path(cache_dir) / "measurements.json"
-            self._load_disk_cache()
+            store_path = Path(cache_dir) / STORE_FILE
+            self._store = Store(store_path)
             if artifact_dir is None:
                 artifact_dir = str(Path(cache_dir) / "artifacts")
             if memo_path is None:
-                memo_path = str(Path(cache_dir) / "sim_memo.json")
+                memo_path = str(store_path)
         self._artifact_dir = artifact_dir
         self._memo_path = memo_path
         self.artifacts: Optional[ArtifactStore] = (
@@ -202,89 +201,37 @@ class MeasurementEngine:
     # ------------------------------------------------------------------
     # Persistent cache
     # ------------------------------------------------------------------
-    def _read_disk_raw(self) -> Dict[str, dict]:
-        """Raw key->payload dict currently on disk ({} on any failure)."""
-        if self._cache_path is None or not self._cache_path.exists():
-            return {}
-        try:
-            raw = json.loads(self._cache_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
-        return raw if isinstance(raw, dict) else {}
+    def _cached(self, key: str) -> Optional[Measurement]:
+        """The result for ``key`` from memory, else from the store."""
+        m = self._result_cache.get(key)
+        if m is None and self._store is not None:
+            row = self._store.get("results", key)
+            if row is not None:
+                m = self._result_cache[key] = Measurement(*row)
+        return m
 
-    def _load_disk_cache(self) -> None:
-        for key, value in self._read_disk_raw().items():
-            value.setdefault("code_size", 0)
-            self._result_cache[key] = Measurement(**value)
-
-    @contextlib.contextmanager
-    def _save_lock(self) -> Iterator[None]:
-        """Serialize read-merge-replace against other savers (POSIX only;
-        elsewhere the merge still makes concurrent saves lose at most a
-        simultaneous writer's delta, never the whole file)."""
-        try:
-            import fcntl
-        except ImportError:
-            yield
-            return
-        lock_path = self._cache_path.with_suffix(".lock")
-        with open(lock_path, "w") as lk:
-            fcntl.flock(lk, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lk, fcntl.LOCK_UN)
+    def _remember(self, key: str, m: Measurement) -> None:
+        self._result_cache[key] = m
+        if self._store is not None:
+            self._unsaved[key] = m
 
     def save(self) -> None:
-        """Flush the measurement cache to disk (no-op without cache_dir).
+        """Write the results added since the last save to the store
+        (no-op without cache_dir).
 
-        Safe for concurrent writers: the current ``measurements.json`` is
-        re-read and merged (disk ∪ memory, memory wins) under a lock
-        file, so two engines saving interleaved measurements to the same
-        cache directory both survive instead of last-writer-wins.  The
-        write itself is atomic: the payload goes to a temporary file in
-        the same directory and is ``os.replace``-d over
-        ``measurements.json``, so a crash mid-flush leaves either the old
-        cache or the new one, never a truncated file for
-        ``_load_disk_cache`` to discard.  Entries found on disk but not
-        in memory are absorbed into the in-memory cache as well.
-
-        The timing memo (when configured) is flushed with the same
-        discipline by :meth:`repro.sim.memo.TimingMemo.save`.
+        One transaction, ``INSERT OR REPLACE`` of the new keys only, so
+        a save costs O(new results) and concurrent writers lose nothing:
+        entries other engines saved stay in the store, where this
+        engine's lookups read through to them.  The timing memo (when
+        configured) is saved first, by :meth:`TimingMemo.save`.
         """
         if self.memo is not None:
             self.memo.save()
-        if self._cache_path is None or not self._dirty:
-            return
-        self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-        with self._save_lock():
-            payload = self._read_disk_raw()
-            for key, value in payload.items():
-                if key not in self._result_cache:
-                    value.setdefault("code_size", 0)
-                    self._result_cache[key] = Measurement(**value)
-            for key, m in self._result_cache.items():
-                payload[key] = {
-                    "cycles": m.cycles,
-                    "checksum": m.checksum,
-                    "instructions": m.instructions,
-                    "sampling_error": m.sampling_error,
-                    "code_size": m.code_size,
-                }
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self._cache_path.parent),
-                prefix=self._cache_path.name,
-                suffix=".tmp",
+        if self._store is not None:
+            self._store.write(
+                {"results": {k: astuple(m) for k, m in self._unsaved.items()}}
             )
-            try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(payload, f)
-                os.replace(tmp, self._cache_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        self._dirty = False
+            self._unsaved = {}
 
     # ------------------------------------------------------------------
     _fingerprints: Dict[Tuple[str, str], str] = {}
@@ -296,12 +243,11 @@ class MeasurementEngine:
         key = (workload, input_name)
         if key not in cls._fingerprints:
             source = get_workload(workload).source(input_name)
-            cls._fingerprints[key] = _md5_hex(source.encode())[:10]
+            cls._fingerprints[key] = md5_hex(source.encode())[:10]
         return cls._fingerprints[key]
 
-    @classmethod
     def _result_key(
-        cls,
+        self,
         workload: str,
         input_name: str,
         compiler: CompilerConfig,
@@ -309,18 +255,24 @@ class MeasurementEngine:
         mode: str,
         interval: int,
     ) -> str:
+        """Every input that can change the result: the workload source,
+        compiler version and settings, the full timing key (every
+        microarchitecture field plus the simulator version), mode and
+        interval, and for static estimates the cost-model constants."""
         parts = (
             [
                 workload,
                 input_name,
-                cls._workload_fingerprint(workload, input_name),
+                self._workload_fingerprint(workload, input_name),
                 f"cc{COMPILER_VERSION}",
                 mode,
                 str(interval),
             ]
             + [str(v) for v in compiler.cache_key()]
-            + [str(v) for v in microarch.cache_key()]
+            + [timing_key(microarch)]
         )
+        if mode == "static":
+            parts.append(self._const_digest)
         return "|".join(parts)
 
     def _binary_and_trace(
@@ -338,7 +290,7 @@ class MeasurementEngine:
         art_key = None
         exe = None
         if self.artifacts is not None:
-            art_key = _md5_hex(
+            art_key = md5_hex(
                 "|".join(
                     [
                         workload,
@@ -411,7 +363,7 @@ class MeasurementEngine:
         key = self._result_key(
             workload, input_name, compiler, microarch, self.mode, self.smarts_interval
         )
-        cached = self._result_cache.get(key)
+        cached = self._cached(key)
         if cached is not None:
             _RESULT_HITS.inc()
             return cached
@@ -449,8 +401,7 @@ class MeasurementEngine:
             sampling_error=outcome.sampling_error,
             code_size=len(exe.instrs),
         )
-        self._result_cache[key] = result
-        self._dirty = True
+        self._remember(key, result)
         return result
 
     def _estimate_static(
@@ -486,8 +437,7 @@ class MeasurementEngine:
             sampling_error=0.0,
             code_size=breakdown.code_size,
         )
-        self._result_cache[key] = result
-        self._dirty = True
+        self._remember(key, result)
         return result
 
     def _observe_cost(
@@ -530,13 +480,14 @@ class MeasurementEngine:
         requests = list(requests)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         results: List[Optional[Measurement]] = [None] * len(requests)
+        keys = [
+            self._result_key(w, inp, comp, micro, self.mode, self.smarts_interval)
+            for w, comp, micro, inp in requests
+        ]
         #: cache key -> indices into `requests` still needing measurement.
         pending: "OrderedDict[str, List[int]]" = OrderedDict()
-        for i, (workload, comp, micro, input_name) in enumerate(requests):
-            key = self._result_key(
-                workload, input_name, comp, micro, self.mode, self.smarts_interval
-            )
-            cached = self._result_cache.get(key)
+        for i, key in enumerate(keys):
+            cached = self._cached(key)
             if cached is not None:
                 _RESULT_HITS.inc()
                 results[i] = cached
@@ -553,12 +504,13 @@ class MeasurementEngine:
         elif pending:
             self._measure_pending_parallel(requests, pending, results, jobs)
         if requests:
-            self._record_batch_provenance(requests, pending, jobs)
+            self._record_batch_provenance(requests, keys, pending, jobs)
         return results  # type: ignore[return-value]
 
     def _record_batch_provenance(
         self,
         requests: Sequence[Tuple[str, CompilerConfig, MicroarchConfig, str]],
+        keys: Sequence[str],
         pending: "OrderedDict[str, List[int]]",
         jobs: int,
     ) -> None:
@@ -570,12 +522,6 @@ class MeasurementEngine:
         do.  The config digest fingerprints the full ordered key list,
         so two batches over the same design are recognizably identical.
         """
-        keys = [
-            self._result_key(
-                w, inp, comp, micro, self.mode, self.smarts_interval
-            )
-            for w, comp, micro, inp in requests
-        ]
         workloads = sorted({r[0] for r in requests})
         inputs = sorted({r[3] for r in requests})
         record_event(
@@ -591,7 +537,7 @@ class MeasurementEngine:
                 "interval": self.smarts_interval,
             },
             refs={
-                "config_digest": _md5_hex("|".join(keys).encode())[:16],
+                "config_digest": md5_hex("|".join(keys).encode())[:16],
                 "result_keys": cap_result_keys(sorted(set(keys))),
             },
         )
@@ -686,8 +632,7 @@ class MeasurementEngine:
                     merge_worker_telemetry(telemetry, ctx)
                     for key, m in items:
                         self.simulations += 1
-                        self._result_cache[key] = m
-                        self._dirty = True
+                        self._remember(key, m)
                         for i in pending[key]:
                             results[i] = m
                     if items:
@@ -696,10 +641,6 @@ class MeasurementEngine:
                         self._observe_cost(
                             workload, input_name, worker_ms / 1e3 / len(items)
                         )
-        if self.memo is not None:
-            # Absorb the units/runs the workers just persisted, so
-            # follow-up serial measurements in this process reuse them.
-            self.memo.load()
 
     def measure_batch(
         self,
@@ -785,8 +726,8 @@ class EngineOracle:
 
 # ----------------------------------------------------------------------
 # Worker-process side of the pool.  Each worker holds one engine (fresh
-# in-memory caches, no measurement-file persistence) alive across tasks,
-# so repeated (compiler key, issue width) pairs amortize their
+# in-memory caches, no result persistence) alive across tasks, so
+# repeated (compiler key, issue width) pairs amortize their
 # compilations; the on-disk artifact store and timing memo are shared
 # with the parent and the other workers.
 # ----------------------------------------------------------------------
@@ -850,8 +791,5 @@ def default_engine() -> MeasurementEngine:
     """
     global _DEFAULT
     if _DEFAULT is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        if cache_dir.lower() in ("0", "off", "none", ""):
-            cache_dir = None
-        _DEFAULT = MeasurementEngine(cache_dir=cache_dir)
+        _DEFAULT = MeasurementEngine(cache_dir=default_cache_dir())
     return _DEFAULT

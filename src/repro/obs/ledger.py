@@ -13,8 +13,8 @@ model: which fit produced it, which measurement batches fed that fit
 (down to the simulator result keys and compiler/microarch config
 digests), and which serve sessions have since exposed it.
 
-Writes reuse the measurement cache's concurrency discipline: an ``flock``
-on a sibling ``.lock`` file serializes appenders, and each event is a
+Writes are serialized across processes by an ``flock`` on a sibling
+``.lock`` file (where ``fcntl`` exists), and each event is a
 single ``O_APPEND`` write of one line, so concurrent processes (pool
 workers, a serving tier, CI legs sharing a cache directory) interleave
 whole events and never corrupt each other.  The file is append-only;
@@ -41,6 +41,8 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+
+from repro.store import default_cache_dir
 
 #: Bump on any incompatible change to the event layout.
 LEDGER_SCHEMA_VERSION = 1
@@ -273,9 +275,9 @@ class Ledger:
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def _file_lock(self) -> Iterator[None]:
-        """Cross-process append serialization (same pattern as the
-        measurement cache: POSIX flock on a sibling lock file; elsewhere
-        O_APPEND alone keeps whole-line writes from interleaving)."""
+        """Cross-process append serialization: POSIX flock on a sibling
+        lock file; elsewhere O_APPEND alone keeps whole-line writes from
+        interleaving."""
         try:
             import fcntl
         except ImportError:
@@ -552,10 +554,8 @@ def default_ledger_path() -> Optional[Path]:
     explicit = os.environ.get("REPRO_LEDGER_PATH", "").strip()
     if explicit:
         return Path(explicit)
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-    if cache_dir.lower() in ("0", "off", "none", ""):
-        return None
-    return Path(cache_dir) / "ledger.jsonl"
+    cache_dir = default_cache_dir()
+    return None if cache_dir is None else Path(cache_dir) / "ledger.jsonl"
 
 
 def default_ledger() -> Optional[Ledger]:

@@ -34,6 +34,7 @@ from repro.models.linear import LinearModel
 from repro.models.mars import Hinge, MarsBasis, MarsModel
 from repro.models.rbf import RbfModel, _Network
 from repro.space import ParameterSpace, Variable, VariableKind
+from repro.store import md5_hex
 
 #: Bump on any incompatible change to the manifest or array layout.
 SCHEMA_VERSION = 1
@@ -52,15 +53,6 @@ class SerializationError(ValueError):
 
 class SchemaVersionError(SerializationError):
     """The payload was written by an incompatible schema version."""
-
-
-def _md5_hex(data: bytes) -> str:
-    """FIPS-safe md5 hexdigest (identity/cache key, not security)."""
-    try:
-        h = hashlib.md5(data, usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(data)
-    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +95,7 @@ def space_fingerprint(space: ParameterSpace) -> str:
     ranges, level counts) -- two spaces with the same fingerprint accept
     the same coded design matrices."""
     blob = json.dumps(space_spec(space), sort_keys=True).encode()
-    return _md5_hex(blob)[:12]
+    return md5_hex(blob)[:12]
 
 
 def corpus_fingerprint(x: np.ndarray, y: np.ndarray) -> str:
@@ -331,7 +323,7 @@ def model_to_payload(
             name: {
                 "dtype": str(a.dtype),
                 "shape": list(a.shape),
-                "md5": _md5_hex(np.ascontiguousarray(a).tobytes()),
+                "md5": md5_hex(np.ascontiguousarray(a).tobytes()),
             }
             for name, a in sorted(arrays.items())
         },
@@ -389,7 +381,7 @@ def model_from_payload(
             f"payload has {sorted(arrays)}"
         )
     for name, meta in declared.items():
-        actual = _md5_hex(np.ascontiguousarray(arrays[name]).tobytes())
+        actual = md5_hex(np.ascontiguousarray(arrays[name]).tobytes())
         if actual != meta["md5"]:
             raise SerializationError(
                 f"array {name!r} is corrupt: checksum {actual} != "

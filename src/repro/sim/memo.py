@@ -23,32 +23,31 @@ Keys embed the **full** timing key -- every field of
 memo schema version, so collisions across microarchitectures are
 impossible by construction (test-enforced).
 
-Persistence follows the measurement cache's discipline: one JSON file,
-read-merge-replace under an ``fcntl`` lock file, atomic ``os.replace``
-publication.  Workers load at pool init and save after each chunk, so
-N workers simulate each distinct (binary, microarch) unit once instead
-of N times.
+Persistence goes through the SQLite store (:mod:`repro.store`), by
+default the file the measured results live in.  The in-memory dicts are
+the read cache: a miss reads through to the store, and :meth:`save`
+writes only the entries added since the last save.  Pool workers save
+after each chunk and read through to what their siblings saved, so N
+workers simulate each distinct (binary, microarch) unit once instead of
+N times.  The ``sim_memo.json`` files of earlier versions are ignored
+and can be deleted.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import json
 import os
-import tempfile
 from dataclasses import fields
-from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs import counter
 from repro.sim.config import MicroarchConfig
+from repro.store import Store, md5_hex
 
 #: Bump when timing semantics change: stale entries must never be served
 #: across simulator versions.
 SIM_MEMO_VERSION = 1
 
-#: Soft cap on persisted unit entries; oldest half is dropped beyond it.
+#: Soft cap on persisted unit entries; the oldest are dropped beyond it.
 MAX_UNIT_ENTRIES = 200_000
 
 RUN_HITS = counter("sim.memo.run.hits")
@@ -57,12 +56,7 @@ UNIT_HITS = counter("sim.memo.unit.hits")
 UNIT_MISSES = counter("sim.memo.unit.misses")
 
 
-def _md5_hex(data: bytes) -> str:
-    try:
-        h = hashlib.md5(data, usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(data)
-    return h.hexdigest()
+_TIMING_FIELDS = tuple(f.name for f in fields(MicroarchConfig))
 
 
 def timing_key(config: MicroarchConfig) -> str:
@@ -73,22 +67,22 @@ def timing_key(config: MicroarchConfig) -> str:
     bus) -- so two configs that could time any trace differently can
     never share memo entries.
     """
-    parts = [f"v{SIM_MEMO_VERSION}"]
-    for f in fields(config):
-        parts.append(f"{f.name}={getattr(config, f.name)}")
-    return "|".join(parts)
+    return "|".join(
+        [f"v{SIM_MEMO_VERSION}"]
+        + [f"{name}={getattr(config, name)}" for name in _TIMING_FIELDS]
+    )
 
 
 class TimingMemo:
-    """In-memory + optionally disk-backed timing memo."""
+    """In-memory timing memo, optionally backed by the store at ``path``."""
 
     def __init__(self, path: Optional[os.PathLike] = None):
         self._runs: Dict[str, dict] = {}
         self._units: Dict[str, Tuple[int, int]] = {}
-        self._dirty = False
-        self._path: Optional[Path] = Path(path) if path is not None else None
-        if self._path is not None:
-            self.load()
+        #: Entries added since the last save (with a store only).
+        self._new_runs: Dict[str, dict] = {}
+        self._new_units: Dict[str, Tuple[int, int]] = {}
+        self._store: Optional[Store] = Store(path) if path is not None else None
 
     # -- keys -----------------------------------------------------------
     @staticmethod
@@ -103,7 +97,7 @@ class TimingMemo:
         warmup: int,
         cooldown: int,
     ) -> str:
-        return _md5_hex(
+        return md5_hex(
             (
                 f"{static_dig}|{trace_dig}|{tkey}|{mode}|{unit_size}|"
                 f"{interval}|{offset}|{warmup}|{cooldown}"
@@ -113,6 +107,10 @@ class TimingMemo:
     # -- run level ------------------------------------------------------
     def get_run(self, key: str) -> Optional[dict]:
         hit = self._runs.get(key)
+        if hit is None and self._store is not None:
+            hit = self._store.get("memo_runs", key)
+            if hit is not None:
+                self._runs[key] = hit
         if hit is not None:
             RUN_HITS.inc()
             return hit
@@ -121,11 +119,16 @@ class TimingMemo:
 
     def put_run(self, key: str, payload: dict) -> None:
         self._runs[key] = payload
-        self._dirty = True
+        if self._store is not None:
+            self._new_runs[key] = payload
 
     # -- unit level -----------------------------------------------------
     def get_unit(self, key: str) -> Optional[Tuple[int, int]]:
         hit = self._units.get(key)
+        if hit is None and self._store is not None:
+            row = self._store.get("memo_units", key)
+            if row is not None:
+                hit = self._units[key] = (row[0], row[1])
         if hit is not None:
             UNIT_HITS.inc()
             return hit
@@ -134,7 +137,8 @@ class TimingMemo:
 
     def put_unit(self, key: str, cycles: int, instructions: int) -> None:
         self._units[key] = (cycles, instructions)
-        self._dirty = True
+        if self._store is not None:
+            self._new_units[key] = (cycles, instructions)
 
     # -- stats ----------------------------------------------------------
     @property
@@ -145,94 +149,14 @@ class TimingMemo:
     def n_units(self) -> int:
         return len(self._units)
 
-    def clear(self) -> None:
-        self._runs.clear()
-        self._units.clear()
-        self._dirty = False
-
     # -- persistence ----------------------------------------------------
-    @contextlib.contextmanager
-    def _save_lock(self) -> Iterator[None]:
-        try:
-            import fcntl
-        except ImportError:  # non-POSIX: merge still bounds the loss
-            yield
-            return
-        lock_path = self._path.with_suffix(".lock")
-        with open(lock_path, "w") as lk:
-            fcntl.flock(lk, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lk, fcntl.LOCK_UN)
-
-    def _read_disk_raw(self) -> dict:
-        if self._path is None or not self._path.exists():
-            return {}
-        try:
-            raw = json.loads(self._path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return {}
-        if not isinstance(raw, dict) or raw.get("version") != SIM_MEMO_VERSION:
-            return {}
-        return raw
-
-    def load(self) -> None:
-        raw = self._read_disk_raw()
-        for key, value in raw.get("runs", {}).items():
-            self._runs.setdefault(key, value)
-        for key, value in raw.get("units", {}).items():
-            self._units.setdefault(key, (int(value[0]), int(value[1])))
-
     def save(self) -> None:
-        """Merge-and-flush to disk (no-op without a path or when clean)."""
-        if self._path is None or not self._dirty:
-            return
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._save_lock():
-            raw = self._read_disk_raw()
-            runs = raw.get("runs", {})
-            units = raw.get("units", {})
-            # Absorb concurrent writers' entries, then overlay ours.
-            for key, value in runs.items():
-                self._runs.setdefault(key, value)
-            for key, value in units.items():
-                self._units.setdefault(key, (int(value[0]), int(value[1])))
-            if len(self._units) > MAX_UNIT_ENTRIES:
-                keep = list(self._units.items())[len(self._units) // 2 :]
-                self._units = dict(keep)
-            payload = {
-                "version": SIM_MEMO_VERSION,
-                "runs": self._runs,
-                "units": {k: list(v) for k, v in self._units.items()},
-            }
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self._path.parent),
-                prefix=self._path.name,
-                suffix=".tmp",
+        """Write the entries added since the last save (no-op without a
+        path or when there are none)."""
+        if self._store is not None:
+            self._store.write(
+                {"memo_runs": self._new_runs, "memo_units": self._new_units},
+                keep_last={"memo_units": MAX_UNIT_ENTRIES},
             )
-            try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(payload, f)
-                os.replace(tmp, self._path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        self._dirty = False
-
-
-_DEFAULT: Optional[TimingMemo] = None
-
-
-def default_memo() -> TimingMemo:
-    """Process-wide memo, persisted under ``REPRO_CACHE_DIR`` (same
-    opt-out values as the measurement cache)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        if cache_dir.lower() in ("0", "off", "none", ""):
-            _DEFAULT = TimingMemo(path=None)
-        else:
-            _DEFAULT = TimingMemo(path=Path(cache_dir) / "sim_memo.json")
-    return _DEFAULT
+            self._new_runs = {}
+            self._new_units = {}

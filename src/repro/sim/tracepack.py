@@ -61,10 +61,8 @@ EV_INST, EV_DATA, EV_PF, EV_BRANCH, EV_CALL, EV_RET, EV_JUMP = range(7)
 
 
 def _md5(data: bytes) -> "hashlib._Hash":
-    try:
-        return hashlib.md5(data, usedforsecurity=False)
-    except TypeError:  # pre-3.9-style signature
-        return hashlib.md5(data)
+    """Incremental md5 (a content digest, not a security boundary)."""
+    return hashlib.md5(data, usedforsecurity=False)
 
 
 class PackedTrace:

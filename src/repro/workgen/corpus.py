@@ -20,7 +20,6 @@ source attached.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +29,7 @@ import numpy as np
 
 from repro.obs import counter, span
 from repro.obs.ledger import record_event
+from repro.store import md5_hex
 from repro.workgen.grammar import (
     GRAMMAR_VERSION,
     GeneratedProgram,
@@ -190,11 +190,7 @@ def check_corpus(programs: Sequence[GeneratedProgram]) -> List[CheckResult]:
 # ----------------------------------------------------------------------
 def corpus_digest(programs: Sequence[GeneratedProgram]) -> str:
     payload = "\n".join(f"{p.name}:{p.digest()}" for p in programs)
-    try:
-        h = hashlib.md5(payload.encode(), usedforsecurity=False)
-    except TypeError:
-        h = hashlib.md5(payload.encode())
-    return h.hexdigest()
+    return md5_hex(payload.encode())
 
 
 def manifest_dict(

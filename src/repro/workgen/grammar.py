@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.store import md5_hex
 from repro.workgen.gen import ProgramGenerator
 
 #: Bump whenever any skeleton's emission changes: the version feeds the
@@ -122,11 +123,7 @@ class GeneratedProgram:
     source: str
 
     def digest(self) -> str:
-        try:
-            h = hashlib.md5(self.source.encode(), usedforsecurity=False)
-        except TypeError:
-            h = hashlib.md5(self.source.encode())
-        return h.hexdigest()
+        return md5_hex(self.source.encode())
 
 
 def program_name(family: str, seed: int) -> str:

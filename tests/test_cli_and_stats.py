@@ -79,6 +79,32 @@ class TestCli:
             ]
         ) == 0
 
+    def test_measure_random_points_prints_error_bar_in_percent(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``sampling_error`` is a fraction: a 7.6% SMARTS half-width
+        must print as ±7.60%, not ±0.08%."""
+        from repro.harness.measure import Measurement, MeasurementEngine
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(
+            MeasurementEngine,
+            "measure_batch",
+            lambda self, workload, points, input_name, jobs=None: [
+                Measurement(
+                    cycles=1000.0,
+                    checksum=0,
+                    instructions=500,
+                    sampling_error=0.076,
+                )
+            ],
+        )
+        assert main(
+            ["measure", "gzip", "--random-points", "1", "--oracle", "static"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "(±7.60%, 500 instructions)" in out
+
     def test_bad_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["measure", "gzip", "--flag", "warp_speed=1"])

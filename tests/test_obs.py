@@ -476,37 +476,68 @@ class TestAtomicSave:
         from repro.harness.measure import Measurement, MeasurementEngine
 
         eng = MeasurementEngine(cache_dir=str(tmp_path))
-        eng._result_cache["k"] = Measurement(
-            cycles=1.0, checksum=2, instructions=3, sampling_error=0.0
+        eng._remember(
+            "k",
+            Measurement(cycles=1.0, checksum=2, instructions=3, sampling_error=0.0),
         )
-        eng._dirty = True
         return eng
 
-    def test_save_writes_valid_json_and_no_leftover_tmp(self, tmp_path):
+    @staticmethod
+    def _stored_keys(tmp_path):
+        import sqlite3
+
+        from repro.store import STORE_FILE
+
+        conn = sqlite3.connect(str(tmp_path / STORE_FILE))
+        try:
+            return {k for (k,) in conn.execute("SELECT key FROM results")}
+        finally:
+            conn.close()
+
+    def test_save_commits_rows_and_leaves_no_debris(self, tmp_path):
+        from repro.harness.measure import MeasurementEngine
+        from repro.store import STORE_FILE
+
         eng = self._engine(tmp_path)
         eng.save()
-        data = json.loads((tmp_path / "measurements.json").read_text())
-        assert data["k"]["cycles"] == 1.0
-        assert list(tmp_path.glob("*.tmp")) == []
+        fresh = MeasurementEngine(cache_dir=str(tmp_path))
+        assert fresh._cached("k").cycles == 1.0
+        # Only the database and its WAL/shared-memory companions.
+        names = {p.name for p in tmp_path.iterdir()}
+        assert names <= {STORE_FILE, f"{STORE_FILE}-wal", f"{STORE_FILE}-shm"}
 
-    def test_crash_mid_flush_preserves_old_cache(self, tmp_path, monkeypatch):
+    def test_crash_mid_flush_preserves_old_cache(self, tmp_path):
+        import sqlite3
+
+        from repro.harness.measure import Measurement
+        from repro.store import STORE_FILE
+
         eng = self._engine(tmp_path)
         eng.save()
-        eng._result_cache["k2"] = eng._result_cache["k"]
-        eng._dirty = True
-
-        from repro.harness import measure as m
-
-        def boom(*a, **k):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(m.json, "dump", boom)
-        with pytest.raises(OSError):
+        for key in ("k2", "k3"):
+            eng._remember(
+                key,
+                Measurement(
+                    cycles=5.0, checksum=2, instructions=3, sampling_error=0.0
+                ),
+            )
+        # Fail the save after its first new row is already inserted.
+        conn = sqlite3.connect(str(tmp_path / STORE_FILE))
+        conn.execute(
+            "CREATE TRIGGER disk_full BEFORE INSERT ON results "
+            "WHEN NEW.key = 'k3' BEGIN SELECT RAISE(ABORT, 'disk full'); END"
+        )
+        conn.commit()
+        with pytest.raises(sqlite3.IntegrityError, match="disk full"):
             eng.save()
-        # The original file is intact and no temp debris remains.
-        data = json.loads((tmp_path / "measurements.json").read_text())
-        assert set(data) == {"k"}
-        assert list(tmp_path.glob("*.tmp")) == []
+        # Rolled back: the earlier row is intact, no new row is visible.
+        assert self._stored_keys(tmp_path) == {"k"}
+        # The failed rows stay pending and land with the next save.
+        conn.execute("DROP TRIGGER disk_full")
+        conn.commit()
+        conn.close()
+        eng.save()
+        assert self._stored_keys(tmp_path) == {"k", "k2", "k3"}
 
 
 class TestEvaluateModelZeroGuard:

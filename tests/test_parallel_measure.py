@@ -2,6 +2,7 @@
 concurrent-writer-safe persistent cache."""
 
 import json
+import sqlite3
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from repro.harness.measure import (
 from repro.opt import O2, O3
 from repro.pipeline import measure_points
 from repro.space import full_space
+from repro.store import STORE_FILE
 
 
 def _random_points(n, seed=0):
@@ -248,50 +250,55 @@ class TestConcurrentSave:
             code_size=4,
         )
 
+    @staticmethod
+    def _stored(cache_dir):
+        """Result rows in the store, read over a separate connection."""
+        conn = sqlite3.connect(str(Path(cache_dir) / STORE_FILE))
+        try:
+            rows = conn.execute("SELECT key, value FROM results").fetchall()
+        finally:
+            conn.close()
+        return {k: json.loads(v) for k, v in rows}
+
     def test_disjoint_writers_both_survive(self, tmp_path):
-        """Two engines loaded from the same (empty) cache dir save
-        disjoint keys; the merge-on-save keeps both on disk."""
+        """Two engines on the same (empty) cache dir save disjoint keys;
+        the store keeps both."""
         e1 = MeasurementEngine(cache_dir=str(tmp_path))
         e2 = MeasurementEngine(cache_dir=str(tmp_path))
-        e1._result_cache["k1"] = self._fake(1.0)
-        e1._dirty = True
-        e2._result_cache["k2"] = self._fake(2.0)
-        e2._dirty = True
+        e1._remember("k1", self._fake(1.0))
+        e2._remember("k2", self._fake(2.0))
         e1.save()
         e2.save()  # last writer: must not discard e1's entry
-        raw = json.loads((tmp_path / "measurements.json").read_text())
-        assert set(raw) == {"k1", "k2"}
+        assert set(self._stored(tmp_path)) == {"k1", "k2"}
         fresh = MeasurementEngine(cache_dir=str(tmp_path))
-        assert fresh._result_cache["k1"].cycles == 1.0
-        assert fresh._result_cache["k2"].cycles == 2.0
+        assert fresh._cached("k1").cycles == 1.0
+        assert fresh._cached("k2").cycles == 2.0
 
     def test_memory_wins_on_conflict(self, tmp_path):
         e1 = MeasurementEngine(cache_dir=str(tmp_path))
-        e1._result_cache["k"] = self._fake(1.0)
-        e1._dirty = True
+        e1._remember("k", self._fake(1.0))
         e1.save()
         e2 = MeasurementEngine(cache_dir=str(tmp_path))
-        e2._result_cache["k"] = self._fake(9.0)
-        e2._dirty = True
+        e2._remember("k", self._fake(9.0))
         e2.save()
-        raw = json.loads((tmp_path / "measurements.json").read_text())
-        assert raw["k"]["cycles"] == 9.0
+        assert self._stored(tmp_path)["k"][0] == 9.0
+        assert MeasurementEngine(cache_dir=str(tmp_path))._cached("k").cycles == 9.0
 
     def test_save_absorbs_disk_entries(self, tmp_path):
+        """An engine sees what another writer saved after it started:
+        lookups read through to the store."""
         e1 = MeasurementEngine(cache_dir=str(tmp_path))
-        e1._result_cache["k1"] = self._fake(1.0)
-        e1._dirty = True
+        e1._remember("k1", self._fake(1.0))
         e2 = MeasurementEngine(cache_dir=str(tmp_path))
-        e2._result_cache["k2"] = self._fake(2.0)
-        e2._dirty = True
+        e2._remember("k2", self._fake(2.0))
         e1.save()
         e2.save()
-        assert e2._result_cache["k1"].cycles == 1.0
+        assert e2._cached("k1").cycles == 1.0
 
     def test_clean_engine_save_is_noop(self, tmp_path):
         engine = MeasurementEngine(cache_dir=str(tmp_path))
         engine.save()
-        assert not (tmp_path / "measurements.json").exists()
+        assert not (tmp_path / STORE_FILE).exists()
 
     def test_interleaved_writers_across_processes(self, tmp_path):
         """The acceptance scenario: two real processes interleave saves
@@ -305,10 +312,9 @@ class TestConcurrentSave:
             "tag = sys.argv[1]\n"
             "e = MeasurementEngine(cache_dir=sys.argv[2])\n"
             "for i in range(5):\n"
-            "    e._result_cache[f'{tag}-{i}'] = Measurement(\n"
+            "    e._remember(f'{tag}-{i}', Measurement(\n"
             "        cycles=float(i), checksum=0, instructions=1,\n"
-            "        sampling_error=0.0)\n"
-            "    e._dirty = True\n"
+            "        sampling_error=0.0))\n"
             "    e.save()\n"
         )
         procs = [
@@ -321,9 +327,8 @@ class TestConcurrentSave:
         ]
         for p in procs:
             assert p.wait() == 0
-        raw = json.loads((tmp_path / "measurements.json").read_text())
         expected = {f"{tag}-{i}" for tag in ("a", "b") for i in range(5)}
-        assert set(raw) == expected
+        assert set(self._stored(tmp_path)) == expected
 
 
 class TestCrossProcessDeterminism:
@@ -368,19 +373,25 @@ class TestFingerprintFips:
         b = MeasurementEngine._workload_fingerprint("art", "train")
         assert a == b and len(a) == 10
 
-    def test_md5_hex_fallback_signature(self, monkeypatch):
-        """Simulate a pre-usedforsecurity hashlib: the fallback path
-        must still produce the same digest."""
+    def test_md5_hex_declared_not_for_security(self, monkeypatch):
+        """The one md5 helper passes ``usedforsecurity=False`` (so FIPS
+        builds accept it), and every caller uses that one helper."""
         import hashlib
 
+        from repro import store
         from repro.harness import measure as measure_mod
+        from repro.serve import serialize
+        from repro.sim import memo
 
         real_md5 = hashlib.md5
+        seen = {}
 
-        def strict_md5(data=b"", **kwargs):
-            if kwargs:
-                raise TypeError("md5() takes no keyword arguments")
-            return real_md5(data)
+        def recording_md5(data=b"", **kwargs):
+            seen.update(kwargs)
+            return real_md5(data, **kwargs)
 
-        monkeypatch.setattr(measure_mod.hashlib, "md5", strict_md5)
-        assert measure_mod._md5_hex(b"abc") == real_md5(b"abc").hexdigest()
+        monkeypatch.setattr(store.hashlib, "md5", recording_md5)
+        assert store.md5_hex(b"abc") == real_md5(b"abc").hexdigest()
+        assert seen == {"usedforsecurity": False}
+        for module in (measure_mod, memo, serialize):
+            assert module.md5_hex is store.md5_hex

@@ -9,6 +9,7 @@ the caches are allowed to make measurement cheaper, never different.
 
 import json
 import math
+import sqlite3
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -19,8 +20,9 @@ from repro.harness.measure import MeasurementEngine
 from repro.opt import O2
 from repro.sim import TimingMemo, execute, smarts_simulate, static_digest, timing_key
 from repro.sim.config import CONSTRAINED, TYPICAL, MicroarchConfig
-from repro.sim.memo import SIM_MEMO_VERSION
+from repro.sim.memo import RUN_MISSES, SIM_MEMO_VERSION
 from repro.sim.smarts import _UNITS_REPLAYED
+from repro.store import STORE_FILE
 from repro.workloads import get_workload
 
 GOLDEN = json.loads(
@@ -60,11 +62,13 @@ class TestGoldenBitIdentity:
         # run-level memo hit and no compile may happen.
         warm = MeasurementEngine(
             artifact_dir=str(tmp_path / "artifacts"),
-            memo_path=str(tmp_path / "sim_memo.json"),
+            memo_path=str(tmp_path / STORE_FILE),
         )
+        misses = RUN_MISSES.value
         for entry in GOLDEN:
             _check(warm.measure(entry["workload"], entry["point"]), entry)
         assert warm.compilations == 0, "warm engine recompiled a binary"
+        assert RUN_MISSES.value == misses, "warm engine missed the run memo"
 
 
 class TestFlagNoiseCollapse:
@@ -157,7 +161,7 @@ class TestReplayExactness:
 
 class TestPersistence:
     def test_round_trip_including_inf(self, tmp_path):
-        path = tmp_path / "memo.json"
+        path = tmp_path / "memo.sqlite"
         m = TimingMemo(path)
         run = {
             "estimated_cycles": 123.5,
@@ -176,23 +180,36 @@ class TestPersistence:
         assert fresh.get_unit("uk") == (4200, 1000)
 
     def test_version_mismatch_ignored(self, tmp_path):
-        path = tmp_path / "memo.json"
-        path.write_text(json.dumps({"version": -1, "runs": {"rk": {}}}))
-        assert TimingMemo(path).get_run("rk") is None
+        """A store file with another schema version is not read, and
+        the first write replaces it with the current schema."""
+        path = tmp_path / "memo.sqlite"
+        conn = sqlite3.connect(str(path))
+        conn.execute("CREATE TABLE memo_runs (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute("INSERT INTO memo_runs VALUES ('rk', '{}')")
+        conn.execute("PRAGMA user_version = 99")
+        conn.commit()
+        conn.close()
+        memo = TimingMemo(path)
+        assert memo.get_run("rk") is None
+        memo.put_unit("uk", 1, 1)
+        memo.save()
+        fresh = TimingMemo(path)
+        assert fresh.get_run("rk") is None
+        assert fresh.get_unit("uk") == (1, 1)
 
     def test_concurrent_writers_merge(self, tmp_path):
-        path = tmp_path / "memo.json"
+        path = tmp_path / "memo.sqlite"
         a = TimingMemo(path)
         b = TimingMemo(path)
         a.put_unit("ua", 1, 1)
         b.put_unit("ub", 2, 2)
         a.save()
-        b.save()  # must absorb a's entry, not clobber it
+        b.save()  # must keep a's entry, not clobber it
         fresh = TimingMemo(path)
         assert fresh.get_unit("ua") == (1, 1)
         assert fresh.get_unit("ub") == (2, 2)
 
     def test_clean_memo_save_is_noop(self, tmp_path):
-        path = tmp_path / "memo.json"
+        path = tmp_path / "memo.sqlite"
         TimingMemo(path).save()
         assert not path.exists()
