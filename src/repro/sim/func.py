@@ -4,7 +4,10 @@ Executes the program to completion, producing the architectural result
 (the program checksum returned by ``main``) and, optionally, the dynamic
 instruction trace consumed by the timing model.  A trace entry is a
 ``(pc, effective_address)`` pair (-1 when the instruction touches no
-memory); control-flow outcomes are implied by the pc sequence.
+memory); control-flow outcomes are implied by the pc sequence.  The
+trace is recorded as two int lists and returned as a
+:class:`~repro.sim.tracepack.PackedTrace`, never as per-instruction
+tuples.
 
 The interpreter shares its operator semantics with the constant folder
 through :mod:`repro.ir.semantics`, so optimizing and non-optimizing
@@ -16,11 +19,12 @@ checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.codegen.isa import OpClass, RA, RV, SP, ZERO
 from repro.codegen.linker import Executable
 from repro.ir.semantics import eval_int_binop, wrap_int
+from repro.sim.tracepack import PackedTrace
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -39,7 +43,7 @@ class FunctionalResult:
     #: Dynamic instruction count.
     instruction_count: int
     #: Optional (pc, effective_address) trace.
-    trace: Optional[List[Tuple[int, int]]]
+    trace: Optional[PackedTrace]
 
 
 def execute(
@@ -59,7 +63,10 @@ def execute(
 
     instrs = exe.instrs
     n_instrs = len(instrs)
-    trace: Optional[List[Tuple[int, int]]] = [] if collect_trace else None
+    trace_pcs: List[int] = []
+    trace_eas: List[int] = []
+    pc_append = trace_pcs.append
+    ea_append = trace_eas.append
     pc = exe.entry_pc
     count = 0
     mem_get = mem.get
@@ -201,17 +208,20 @@ def execute(
         elif op == "nop":
             pass
         elif op == "halt":
-            if trace is not None:
-                trace.append((pc, -1))
+            pc_append(pc)
+            ea_append(-1)
             return FunctionalResult(
                 return_value=iregs[RV],
                 instruction_count=count,
-                trace=trace,
+                trace=PackedTrace.from_lists(trace_pcs, trace_eas)
+                if collect_trace
+                else None,
             )
         else:
             raise SimulationError(f"unknown opcode {op!r} at pc {pc}")
 
         iregs[ZERO] = 0  # r0 stays hardwired
-        if trace is not None:
-            trace.append((pc, ea))
+        if collect_trace:
+            pc_append(pc)
+            ea_append(ea)
         pc = next_pc

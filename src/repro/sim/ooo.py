@@ -30,7 +30,16 @@ branch predictor tables, BTB and RAS are updated inline with local
 variables (statistics accumulate in local ints and flush once per
 window).  The semantics are bit-identical to the original per-event
 model -- the golden-measurement test (``tests/test_sim_memo.py``) pins
-cycles/checksums captured from the pre-flattening implementation.
+cycles/checksums captured from the pre-flattening implementation, and
+``tests/test_sim_window_golden.py`` pins ``simulate_window``'s
+measurement bracketing.
+
+The detailed loop allocates no container per instruction: the RUU is an
+index into the window's list of commit cycles (an instruction waits for
+the commit ``ruu_size`` positions earlier), the measurement bounds are
+read from that list after the loop, and a functional unit is chosen by
+``min`` + ``index`` over its pool.  Cache sets are created on first
+touch (:mod:`repro.sim.cache`).
 
 ``warm`` walks only the precomputed *event list* (block changes, memory
 operations, control transfers) -- straight-line ALU instructions inside
@@ -42,7 +51,6 @@ pipeline timing -- the memo-hit path of :mod:`repro.sim.smarts`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -209,9 +217,12 @@ class OooTimingModel:
             if n_units:
                 fu_pools[code] = [0] * n_units
         regs_ready = [0] * 64
-        ruu: deque = deque()
-        ruu_append = ruu.append
-        ruu_popleft = ruu.popleft
+        # commits[p - start] is the last commit cycle before position p
+        # (0 at start).  Position i waits for its RUU entry to be freed
+        # by the commit of position i - ruu_size.
+        commits: List[int] = [0]
+        commit_append = commits.append
+        ruu_off = start + ruu_size - 1
         store_buffer: List[Tuple[int, int]] = []  # (drain_time, block)
 
         fetch_cycle = 0
@@ -225,15 +236,7 @@ class OooTimingModel:
         n_mispredicts = 0
         n_icache_stall_cycles = 0
         n_ruu_stalls = 0
-        measure_from = start if measure_from is None else measure_from
-        measure_to = end if measure_to is None else measure_to
-        warm_boundary_commit = 0
-        end_boundary_commit: Optional[int] = None
         for i in range(start, end):
-            if i == measure_from:
-                warm_boundary_commit = last_commit
-            if i == measure_to:
-                end_boundary_commit = last_commit
             code = cls_pos[i]
 
             # ---------------- fetch ----------------
@@ -295,8 +298,8 @@ class OooTimingModel:
 
             # ---------------- dispatch (RUU) ----------------
             disp = fetch_time + FRONT_DEPTH
-            if len(ruu) >= ruu_size:
-                oldest = ruu_popleft()
+            if i > ruu_off:
+                oldest = commits[i - ruu_off]
                 if oldest > disp:
                     disp = oldest
                     n_ruu_stalls += 1
@@ -310,12 +313,8 @@ class OooTimingModel:
             issue = ready
             pool = fu_pools[code]
             if pool is not None:
-                best = 0
-                best_t = pool[0]
-                for k in range(1, len(pool)):
-                    if pool[k] < best_t:
-                        best_t = pool[k]
-                        best = k
+                best_t = min(pool)
+                best = pool.index(best_t)
                 if best_t > issue:
                     issue = best_t
                 pool[best] = issue + 1
@@ -564,7 +563,7 @@ class OooTimingModel:
                 commits_this_cycle = 1
             last_commit_cycle = commit
             last_commit = commit
-            ruu_append(commit)
+            commit_append(commit)
 
         # Flush inline state and statistics back to the model objects.
         il1.hits += i_hits
@@ -579,8 +578,16 @@ class OooTimingModel:
         bpred.lookups += bp_lookups
         bpred.mispredictions += bp_wrong
 
-        if end_boundary_commit is None:
-            end_boundary_commit = last_commit
+        # A bound outside [start, end) reads 0 for measure_from and the
+        # window's last commit for measure_to.
+        measure_from = start if measure_from is None else measure_from
+        measure_to = end if measure_to is None else measure_to
+        warm_boundary_commit = (
+            commits[measure_from - start] if start <= measure_from < end else 0
+        )
+        end_boundary_commit = (
+            commits[measure_to - start] if start <= measure_to < end else last_commit
+        )
         _INSTRUCTIONS.inc(end - start)
         if n_mispredicts:
             _MISPREDICTS.inc(n_mispredicts)

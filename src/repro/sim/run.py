@@ -12,7 +12,7 @@ from repro.sim.func import FunctionalResult, execute
 from repro.sim.memo import TimingMemo, timing_key
 from repro.sim.ooo import OooTimingModel
 from repro.sim.smarts import SmartsResult, smarts_simulate
-from repro.sim.tracepack import packed_for, static_digest
+from repro.sim.tracepack import as_packed, static_digest
 
 _DETAILED_RUNS = counter("sim.detailed_runs")
 _SMARTS_RUNS = counter("sim.smarts_runs")
@@ -63,7 +63,7 @@ def simulate(
         _DETAILED_RUNS.inc()
         run_key = None
         if memo is not None:
-            packed = packed_for(exe, trace)
+            packed = as_packed(trace)
             run_key = TimingMemo.run_key(
                 static_digest(exe),
                 packed.digest(),

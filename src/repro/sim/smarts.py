@@ -25,7 +25,7 @@ from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
 from repro.sim.memo import TimingMemo, timing_key
 from repro.sim.ooo import OooTimingModel, TimingResult
-from repro.sim.tracepack import _md5, packed_for, static_digest
+from repro.sim.tracepack import _md5, as_packed, static_digest
 
 _UNITS_SAMPLED = counter("smarts.units.sampled")
 _UNITS_SKIPPED = counter("smarts.units.skipped")
@@ -99,7 +99,7 @@ def smarts_simulate(
     packed = None
     chain = None
     if memo is not None:
-        packed = packed_for(exe, trace)
+        packed = as_packed(trace)
         static_dig = static_digest(exe)
         tkey = timing_key(config)
         run_key = TimingMemo.run_key(

@@ -92,16 +92,12 @@ class PackedTrace:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def from_pairs(cls, trace: Sequence[Tuple[int, int]]) -> "PackedTrace":
-        if isinstance(trace, PackedTrace):
-            return trace
-        n = len(trace)
-        # fromiter over a flattened chain is ~3x faster than assigning a
-        # list of tuples into a 2-D array.
-        flat = np.fromiter(
-            itertools.chain.from_iterable(trace), dtype=np.int64, count=2 * n
-        )
-        return cls(flat[0::2].copy(), flat[1::2].copy())
+    def from_lists(cls, pcs: List[int], eas: List[int]) -> "PackedTrace":
+        """Pack two parallel int lists, keeping them as the list views."""
+        packed = cls(np.array(pcs, dtype=np.int64), np.array(eas, dtype=np.int64))
+        packed._pcs_list = pcs
+        packed._eas_list = eas
+        return packed
 
     # -- sequence protocol (compat with list-of-tuples consumers) -------
     def __len__(self) -> int:
@@ -109,11 +105,11 @@ class PackedTrace:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(zip(self.pcs[i].tolist(), self.eas[i].tolist()))
+            return list(zip(self.pcs_list[i], self.eas_list[i]))
         return (int(self.pcs[i]), int(self.eas[i]))
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
-        return iter(zip(self.pcs.tolist(), self.eas.tolist()))
+        return zip(self.pcs_list, self.eas_list)
 
     # -- flat views for the hot loops -----------------------------------
     @property
@@ -174,11 +170,14 @@ class TraceTables:
     from one vectorized numpy pass.  Per-``block_size`` artifacts (block
     ids, warm event lists) and per-``issue_width`` latencies are cached
     in dicts, since those are the only microarchitectural parameters the
-    tables depend on.
+    tables depend on.  The tables keep the executable's instruction
+    list, not the executable: :func:`tables_for` attaches them to the
+    executable, and a back reference would make a cycle that only the
+    garbage collector could free.
     """
 
     def __init__(self, exe: Executable, trace: PackedTrace):
-        self.exe = exe
+        self.instrs = exe.instrs
         self.trace = trace
         n = len(trace)
         self.n = n
@@ -232,7 +231,7 @@ class TraceTables:
         if hit is not None:
             return hit
         lat_pc = np.array(
-            [mdesc.latency(instr.op_class) for instr in self.exe.instrs],
+            [mdesc.latency(instr.op_class) for instr in self.instrs],
             dtype=np.int64,
         )
         lat = np.take(lat_pc, self.trace.pcs).tolist() if self.n else []
@@ -300,30 +299,12 @@ def as_packed(trace: Sequence[Tuple[int, int]]) -> PackedTrace:
     """Coerce any trace representation to a :class:`PackedTrace`."""
     if isinstance(trace, PackedTrace):
         return trace
-    return PackedTrace.from_pairs(trace)
-
-
-def packed_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> PackedTrace:
-    """The (cached) packed view of a trace, without building tables.
-
-    Digest-only consumers (memo key computation on a run-level hit) need
-    the packed arrays but not the full :class:`TraceTables`; this caches
-    just the conversion, keyed like :func:`tables_for`.
-    """
-    if isinstance(trace, PackedTrace):
-        return trace
-    registry: Dict[int, Tuple[object, PackedTrace]] = getattr(
-        exe, "_repro_packed_traces", None
+    # fromiter over a flattened chain is ~3x faster than assigning a
+    # list of tuples into a 2-D array.
+    flat = np.fromiter(
+        itertools.chain.from_iterable(trace), dtype=np.int64, count=2 * len(trace)
     )
-    if registry is None:
-        registry = {}
-        exe._repro_packed_traces = registry  # type: ignore[attr-defined]
-    hit = registry.get(id(trace))
-    if hit is not None and hit[0] is trace:
-        return hit[1]
-    packed = PackedTrace.from_pairs(trace)
-    registry[id(trace)] = (trace, packed)
-    return packed
+    return PackedTrace(flat[0::2].copy(), flat[1::2].copy())
 
 
 def tables_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> TraceTables:
@@ -344,9 +325,6 @@ def tables_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> TraceTables
     hit = registry.get(id(trace))
     if hit is not None and hit[0] is trace:
         return hit[1]
-    packed = packed_for(exe, trace)
-    tables = TraceTables(exe, packed)
+    tables = TraceTables(exe, as_packed(trace))
     registry[id(trace)] = (trace, tables)
-    if packed is not trace:
-        registry[id(packed)] = (packed, tables)
     return tables

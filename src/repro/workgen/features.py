@@ -168,15 +168,15 @@ def dynamic_features(exe, functional) -> Dict[str, float]:
 
     feats = {name: 0.0 for name in PROGRAM_FEATURE_NAMES if name.startswith("dy_")}
     feats["dy_log_instrs"] = math.log1p(functional.instruction_count)
-    trace = functional.trace or []
+    trace = functional.trace
     if not trace:
         return feats
-    events = trace[:TRACE_EVENT_CAP]
+    n = min(len(trace), TRACE_EVENT_CAP)
     n_mem = 0
     n_branch = 0
     addrs = set()
     instrs = exe.instrs
-    for pc, ea in events:
+    for pc, ea in zip(trace.pcs_list[:n], trace.eas_list[:n]):
         cls = instrs[pc].op_class
         if cls is OpClass.LOAD or cls is OpClass.STORE:
             n_mem += 1
@@ -184,7 +184,6 @@ def dynamic_features(exe, functional) -> Dict[str, float]:
                 addrs.add(ea)
         elif cls is OpClass.BRANCH:
             n_branch += 1
-    n = len(events)
     feats["dy_mem_frac"] = n_mem / n
     feats["dy_branch_frac"] = n_branch / n
     feats["dy_log_working_set"] = math.log1p(len(addrs))
