@@ -41,6 +41,7 @@ import json
 import multiprocessing
 import os
 import time
+import traceback
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import astuple, dataclass
@@ -115,6 +116,35 @@ class Measurement:
     #: Static code size of the binary, in instructions (a secondary
     #: response the paper mentions models can be built for).
     code_size: int = 0
+
+
+@dataclass
+class PointFailure:
+    """One design point that raised while a pool worker measured it."""
+
+    #: Indices of the batch's requests that asked for this point.
+    requests: List[int]
+    workload: str
+    key: str
+    #: ``ExceptionType: message``.
+    error: str
+    traceback: str
+    pid: int
+
+
+class BatchMeasurementError(RuntimeError):
+    """Points of a pooled batch raised; every other result was kept."""
+
+    def __init__(self, failures: Sequence[PointFailure]):
+        self.failures = list(failures)
+        super().__init__(
+            f"{len(self.failures)} point(s) failed: "
+            + "; ".join(
+                f"requests {f.requests} ({f.workload}, key {f.key[:12]}, "
+                f"pid {f.pid}): {f.error}"
+                for f in self.failures
+            )
+        )
 
 
 class MeasurementEngine:
@@ -475,11 +505,14 @@ class MeasurementEngine:
         by cache key and, with ``jobs > 1``, fanned out to a process
         pool.  Results land back in this engine's caches, so a following
         :meth:`save` persists them.  Guaranteed identical to calling
-        :meth:`measure_configs` in a loop, for any worker count.
+        :meth:`measure_configs` in a loop, for any worker count.  In the
+        pool a point that raises fails alone: every other result is
+        kept, then one :class:`BatchMeasurementError` names the failures.
         """
         requests = list(requests)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         results: List[Optional[Measurement]] = [None] * len(requests)
+        failures: List[PointFailure] = []
         keys = [
             self._result_key(w, inp, comp, micro, self.mode, self.smarts_interval)
             for w, comp, micro, inp in requests
@@ -502,9 +535,13 @@ class MeasurementEngine:
                 for i in indices:
                     results[i] = m
         elif pending:
-            self._measure_pending_parallel(requests, pending, results, jobs)
+            failures = self._measure_pending_parallel(
+                requests, pending, results, jobs
+            )
         if requests:
             self._record_batch_provenance(requests, keys, pending, jobs)
+        if failures:
+            raise BatchMeasurementError(failures)
         return results  # type: ignore[return-value]
 
     def _record_batch_provenance(
@@ -594,7 +631,9 @@ class MeasurementEngine:
         pending: "OrderedDict[str, List[int]]",
         results: List[Optional[Measurement]],
         jobs: int,
-    ) -> None:
+    ) -> List[PointFailure]:
+        """Measure ``pending`` on a pool; returns the failed points."""
+        failures: List[PointFailure] = []
         n_workers = min(jobs, len(pending))
         chunks = self._plan_chunks(requests, pending, n_workers)
         with span(
@@ -627,8 +666,14 @@ class MeasurementEngine:
                     futures.append(pool.submit(_measure_chunk, chunk))
                     _BATCH_SUBMITTED.inc()
                 for fut in as_completed(futures):
-                    items, worker_ms, telemetry = fut.result()
+                    items, failed, worker_ms, telemetry = fut.result()
                     _WORKER_MS.observe(worker_ms)
+                    for key, error, tb, pid in failed:
+                        indices = pending[key]
+                        workload = requests[indices[0]][0]
+                        failures.append(
+                            PointFailure(indices, workload, key, error, tb, pid)
+                        )
                     merge_worker_telemetry(telemetry, ctx)
                     for key, m in items:
                         self.simulations += 1
@@ -641,6 +686,7 @@ class MeasurementEngine:
                         self._observe_cost(
                             workload, input_name, worker_ms / 1e3 / len(items)
                         )
+        return failures
 
     def measure_batch(
         self,
@@ -757,27 +803,40 @@ def _init_worker(
 
 def _measure_chunk(
     chunk: Sequence[Tuple[str, str, CompilerConfig, MicroarchConfig, str]],
-) -> Tuple[List[Tuple[str, Measurement]], float, WorkerTelemetry]:
+) -> Tuple[
+    List[Tuple[str, Measurement]],
+    List[Tuple[str, str, str, int]],
+    float,
+    WorkerTelemetry,
+]:
     """Measure one planned chunk of (key, request) tasks in a worker.
 
     The chunk is measured sequentially on the worker's engine -- its
     binary LRU serves the shared-binary runs the planner grouped -- and
     the timing memo is flushed once at the end so sibling workers and
-    future processes reuse the units this chunk simulated.
+    future processes reuse the units this chunk simulated.  A point
+    that raises becomes a ``(key, error, traceback, pid)`` failure record
+    and the chunk goes on.
     """
     begin_task()
     t0 = time.perf_counter()
     out: List[Tuple[str, Measurement]] = []
+    failed: List[Tuple[str, str, str, int]] = []
     for key, workload, compiler, microarch, input_name in chunk:
-        with span("measure.task", workload=workload, input=input_name, key=key):
-            m = _WORKER_ENGINE.measure_configs(
-                workload, compiler, microarch, input_name
-            )
+        try:
+            with span("measure.task", workload=workload, input=input_name, key=key):
+                m = _WORKER_ENGINE.measure_configs(
+                    workload, compiler, microarch, input_name
+                )
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            failed.append((key, error, traceback.format_exc(), os.getpid()))
+            continue
         out.append((key, m))
     if _WORKER_ENGINE.memo is not None:
         _WORKER_ENGINE.memo.save()
     worker_ms = (time.perf_counter() - t0) * 1e3
-    return out, worker_ms, collect_task()
+    return out, failed, worker_ms, collect_task()
 
 
 _DEFAULT: Optional[MeasurementEngine] = None

@@ -7,12 +7,13 @@ interpreter's frame stacks (``sys._current_frames``) and counts each
 observed call stack.  The result exports in the *collapsed stack*
 format --
 
-    repro.sim.smarts:smarts_simulate;repro.sim.ooo:simulate_window 412
+    repro.sim.smarts:smarts_simulate;repro.sim.ooo:time_window 412
 
 -- one line per unique stack, root first, sample count last, which both
 ``flamegraph.pl`` and https://www.speedscope.app consume directly.  The
 intended targets are the per-event simulation loops
-(:mod:`repro.sim.ooo`, :mod:`repro.sim.cache`, :mod:`repro.sim.bpred`),
+(:mod:`repro.sim.ooo`, :mod:`repro.sim.outcomes`, :mod:`repro.sim.cache`,
+:mod:`repro.sim.bpred`),
 where span instrumentation would cost more than it reveals.
 
 Sampling bias to keep in mind: the sampler thread needs the GIL to run,

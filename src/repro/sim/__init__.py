@@ -11,12 +11,14 @@ Components:
   arrays, composed into an I/D + unified-L2 hierarchy;
 * :mod:`repro.sim.bpred` -- the combined bimodal + 2-level branch
   predictor with a chooser, plus a BTB;
-* :mod:`repro.sim.ooo` -- the trace-driven out-of-order timing model
+* :mod:`repro.sim.outcomes` -- cache and branch outcomes of a segment
+  schedule, one memoized pass per structure;
+* :mod:`repro.sim.ooo` -- the trace-driven out-of-order timing loop
   (fetch -> RUU dispatch -> issue over FU pools -> commit, with a store
   buffer and fetch redirects on taken branches and mispredictions);
-* :mod:`repro.sim.smarts` -- SMARTS systematic sampling: continuous
-  functional warming with detailed timing on periodic windows, and a
-  confidence interval on the CPI estimate;
+* :mod:`repro.sim.smarts` -- SMARTS systematic sampling: warm-only units
+  between detailed windows, and a confidence interval on the CPI
+  estimate;
 * :mod:`repro.sim.tracepack` -- flat-array trace tables the hot loops
   index (built once per binary+trace, shared across configurations);
 * :mod:`repro.sim.memo` -- content-addressed memoization of SMARTS

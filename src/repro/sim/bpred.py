@@ -10,13 +10,11 @@ BTB of fixed size, and returns from a 16-deep return-address stack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence
 
-
-def _counter_update(counter: int, taken: bool) -> int:
-    if taken:
-        return min(3, counter + 1)
-    return max(0, counter - 1)
+#: Outcome flags of one predicted control transfer.
+MISPREDICT = 1  # fetch is redirected when the transfer resolves
+WRONG_DIRECTION = 2  # the direction predictor was wrong (statistics only)
 
 
 class CombinedPredictor:
@@ -37,40 +35,83 @@ class CombinedPredictor:
         self.mispredictions = 0
 
     # ------------------------------------------------------------------
-    def _indices(self, pc: int) -> "tuple[int, int]":
-        bim = pc & self._mask
-        gsh = (pc ^ self._history) & self._mask
-        return bim, gsh
-
     def predict(self, pc: int) -> bool:
         """Predicted direction for the conditional branch at ``pc``."""
-        bim, gsh = self._indices(pc)
         if self._chooser[pc & self._mask] >= 2:
-            return self._bimodal[bim] >= 2
-        return self._gshare[gsh] >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        """Train all tables with the actual outcome."""
-        bim, gsh = self._indices(pc)
-        bim_pred = self._bimodal[bim] >= 2
-        gsh_pred = self._gshare[gsh] >= 2
-        # Chooser trains toward whichever component was right.
-        if bim_pred != gsh_pred:
-            self._chooser[pc & self._mask] = _counter_update(
-                self._chooser[pc & self._mask], bim_pred == taken
-            )
-        self._bimodal[bim] = _counter_update(self._bimodal[bim], taken)
-        self._gshare[gsh] = _counter_update(self._gshare[gsh], taken)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+            return self._bimodal[pc & self._mask] >= 2
+        return self._gshare[(pc ^ self._history) & self._mask] >= 2
 
     def predict_and_update(self, pc: int, taken: bool) -> bool:
         """Predict, train, and record statistics; returns the prediction."""
-        pred = self.predict(pc)
+        flags = self.predict_stream(BranchTargetBuffer(1), (0,), (pc,), (taken,), (pc,))
+        wrong = bool(flags[0] & WRONG_DIRECTION)
         self.lookups += 1
-        if pred != taken:
-            self.mispredictions += 1
-        self.update(pc, taken)
-        return pred
+        self.mispredictions += wrong
+        return taken != wrong
+
+    def predict_stream(
+        self,
+        btb: "BranchTargetBuffer",
+        positions: Sequence[int],
+        pcs: Sequence[int],
+        taken: Sequence[bool],
+        next_pc: Sequence[int],
+    ) -> bytearray:
+        """Predict and train on the conditional branches at ``positions``.
+
+        Returns one byte of ``MISPREDICT | WRONG_DIRECTION`` flags per
+        branch.  A taken branch also needs the BTB to hold its target,
+        and trains it.  This is :meth:`predict_and_update` plus the BTB
+        over a whole stream, without the statistics (the timing loop
+        counts those for the windows it times).
+        """
+        bim_tab = self._bimodal
+        gsh_tab = self._gshare
+        cho_tab = self._chooser
+        mask = self._mask
+        history = self._history
+        h_mask = self._history_mask
+        btb_tags = btb._tags
+        btb_targets = btb._targets
+        btb_mask = btb._mask
+        flags = bytearray(len(positions))
+        for k, i in enumerate(positions):
+            pc = pcs[i]
+            pcm = pc & mask
+            gsh = (pc ^ history) & mask
+            b = bim_tab[pcm]
+            g = gsh_tab[gsh]
+            bim_p = b >= 2
+            gsh_p = g >= 2
+            pred = bim_p if cho_tab[pcm] >= 2 else gsh_p
+            t = taken[i]
+            # The chooser trains toward whichever component was right.
+            if bim_p != gsh_p:
+                c = cho_tab[pcm]
+                if bim_p == t:
+                    cho_tab[pcm] = c + 1 if c < 3 else 3
+                else:
+                    cho_tab[pcm] = c - 1 if c > 0 else 0
+            if t:
+                bim_tab[pcm] = b + 1 if b < 3 else 3
+                gsh_tab[gsh] = g + 1 if g < 3 else 3
+                history = ((history << 1) | 1) & h_mask
+                target = next_pc[i]
+                bi = pc & btb_mask
+                if not pred:
+                    flags[k] = MISPREDICT | WRONG_DIRECTION
+                elif btb_tags[bi] != pc or btb_targets[bi] != target:
+                    flags[k] = MISPREDICT
+                btb_tags[bi] = pc
+                btb_targets[bi] = target
+            else:
+                bim_tab[pcm] = b - 1 if b > 0 else 0
+                gsh_tab[gsh] = g - 1 if g > 0 else 0
+                history = (history << 1) & h_mask
+                if pred:
+                    flags[k] = MISPREDICT | WRONG_DIRECTION
+        self._history = history
+        return flags
 
     def misprediction_rate(self) -> float:
         return self.mispredictions / self.lookups if self.lookups else 0.0
@@ -114,3 +155,23 @@ class ReturnAddressStack:
         if self._stack:
             return self._stack.pop()
         return None
+
+    def predict_stream(
+        self,
+        positions: Sequence[int],
+        is_call: Sequence[bool],
+        pcs: Sequence[int],
+        next_pc: Sequence[int],
+    ) -> bytearray:
+        """Push at the calls and pop at the returns among ``positions``.
+
+        Returns one byte per position: ``MISPREDICT`` where a return's
+        predicted target is not the pc that follows it.
+        """
+        flags = bytearray(len(positions))
+        for k, i in enumerate(positions):
+            if is_call[k]:
+                self.push(pcs[i] + 1)
+            elif self.pop() != next_pc[i]:
+                flags[k] = MISPREDICT
+        return flags

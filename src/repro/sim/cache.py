@@ -12,7 +12,7 @@ has 262,144 sets, of which one timing run touches a few thousand.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import DefaultDict, List
+from typing import DefaultDict, Iterable, List
 
 from repro.sim.config import MicroarchConfig
 
@@ -38,21 +38,37 @@ class Cache:
 
     def access(self, addr: int) -> bool:
         """Access the block containing ``addr``; returns hit, updates LRU."""
-        block = addr // self.block_size
-        set_index = block % self.n_sets
-        tag = block // self.n_sets
-        ways = self._sets[set_index]
-        try:
-            ways.remove(tag)
-            ways.append(tag)
-            self.hits += 1
-            return True
-        except ValueError:
-            self.misses += 1
-            ways.append(tag)
-            if len(ways) > self.assoc:
-                ways.pop(0)
-            return False
+        return not self.access_blocks((addr // self.block_size,))
+
+    def access_blocks(self, blocks: Iterable[int]) -> List[int]:
+        """Access block ids in order; returns the indices that missed.
+
+        This is the one LRU routine of the simulator: every level's
+        outcome pass (:mod:`repro.sim.outcomes`) feeds it a whole access
+        stream, so the loop binds its state once, not once per access.
+        A hit on the MRU way changes no state and skips the list update.
+        """
+        sets = self._sets
+        n_sets = self.n_sets
+        assoc = self.assoc
+        missed: List[int] = []
+        k = -1
+        for k, block in enumerate(blocks):
+            tag = block // n_sets
+            ways = sets[block % n_sets]
+            if ways and ways[-1] == tag:
+                continue
+            try:
+                ways.remove(tag)
+                ways.append(tag)
+            except ValueError:
+                missed.append(k)
+                ways.append(tag)
+                if len(ways) > assoc:
+                    del ways[0]
+        self.misses += len(missed)
+        self.hits += k + 1 - len(missed)
+        return missed
 
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU or statistics."""
@@ -89,27 +105,16 @@ class CacheHierarchy:
 
     def __init__(self, config: MicroarchConfig):
         self.config = config
-        self.il1 = Cache(
-            config.icache_size,
-            config.icache_assoc,
-            config.block_size,
-            name="il1",
-        )
-        self.dl1 = Cache(
-            config.dcache_size,
-            config.dcache_assoc,
-            config.block_size,
-            name="dl1",
-        )
-        self.ul2 = Cache(
-            config.l2_size, config.l2_assoc, config.block_size, name="ul2"
-        )
+        bs = config.block_size
+        self.il1 = Cache(config.icache_size, config.icache_assoc, bs, name="il1")
+        self.dl1 = Cache(config.dcache_size, config.dcache_assoc, bs, name="dl1")
+        self.ul2 = Cache(config.l2_size, config.l2_assoc, bs, name="ul2")
         #: Cycle at which the memory bus becomes free.
         self.bus_free = 0
         self.memory_accesses = 0
 
     def reset_bus(self) -> None:
-        """Reset the bus clock (called at each SMARTS window start)."""
+        """Reset the bus clock."""
         self.bus_free = 0
 
     def _memory_access(self, request_time: int) -> int:
@@ -146,7 +151,7 @@ class CacheHierarchy:
             self._memory_access(now + self.config.l2_latency)
 
     def warm_data(self, addr: int) -> None:
-        """Functional warming of the data path (SMARTS skip mode)."""
+        """Fill the data path without using the bus."""
         if not self.dl1.access(addr):
             self.ul2.access(addr)
 

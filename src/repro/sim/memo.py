@@ -14,9 +14,7 @@ simulator, shared across design points, engines and worker processes:
   the unit's cooldown end plus the unit's boundaries.  The chain makes
   the key cover everything the unit's incoming microarchitectural state
   depends on (every earlier trace byte and the unit schedule), so a hit
-  is exact, never approximate.  On a hit the detailed window is
-  replaced by the ~4x cheaper state-replay pass
-  (:meth:`repro.sim.ooo.OooTimingModel.replay_window`).
+  is exact, never approximate.  A hit skips the unit's timing loop.
 
 Keys embed the **full** timing key -- every field of
 :class:`MicroarchConfig`, including the structural parameters -- plus a

@@ -11,7 +11,7 @@ from repro.sim.config import MicroarchConfig
 from repro.sim.func import FunctionalResult, execute
 from repro.sim.memo import TimingMemo, timing_key
 from repro.sim.ooo import OooTimingModel
-from repro.sim.smarts import SmartsResult, smarts_simulate
+from repro.sim.smarts import smarts_simulate
 from repro.sim.tracepack import as_packed, static_digest
 
 _DETAILED_RUNS = counter("sim.detailed_runs")

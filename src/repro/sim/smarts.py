@@ -17,14 +17,15 @@ simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.codegen.linker import Executable
 from repro.obs import counter, span
 from repro.sim.config import MicroarchConfig
 from repro.sim.memo import TimingMemo, timing_key
-from repro.sim.ooo import OooTimingModel, TimingResult
+from repro.sim.ooo import OooTimingModel
+from repro.sim.outcomes import Segment
 from repro.sim.tracepack import _md5, as_packed, static_digest
 
 _UNITS_SAMPLED = counter("smarts.units.sampled")
@@ -53,6 +54,43 @@ class SmartsResult:
     @property
     def cycles(self) -> int:
         return int(round(self.estimated_cycles))
+
+
+def smarts_schedule(
+    n: int,
+    unit_size: int = 1000,
+    interval: int = 10,
+    offset: int = 0,
+    detailed_warmup: int = 300,
+    detailed_cooldown: int = 150,
+) -> Tuple[Tuple[Segment, ...], List[Tuple[int, int, int]]]:
+    """The segments SMARTS processes, in order, and its sampled units.
+
+    Unit ``u`` covers trace positions ``[u * unit_size, ...)``.  A
+    sampled unit ``[pos, end)`` is the detailed segment ``[pos -
+    detailed_warmup, end + detailed_cooldown)``; every other unit is a
+    warm-only segment.  The detailed warm-up and cool-down ranges are
+    also warmed by the neighbouring skipped units, so those positions
+    update caches and predictors twice (see ``docs/SIMULATOR.md``).
+    Returns ``(schedule, units)`` with one ``(unit index, pos, end)`` per
+    sampled unit, in the order of the detailed segments.
+    """
+    schedule: List[Segment] = []
+    units: List[Tuple[int, int, int]] = []
+    pos = 0
+    unit_index = 0
+    while pos < n:
+        end = min(pos + unit_size, n)
+        if unit_index % interval == offset % interval:
+            schedule.append(
+                (max(0, pos - detailed_warmup), min(n, end + detailed_cooldown), True)
+            )
+            units.append((unit_index, pos, end))
+        else:
+            schedule.append((pos, end, False))
+        pos = end
+        unit_index += 1
+    return tuple(schedule), units
 
 
 def smarts_simulate(
@@ -86,11 +124,9 @@ def smarts_simulate(
         interval ends with a full pipeline (removing drain bias).
     memo:
         Optional :class:`repro.sim.memo.TimingMemo`.  Run-level hits
-        skip the simulation entirely; unit-level hits replace a sampled
-        unit's detailed window with the cheaper exact state replay
-        (:meth:`OooTimingModel.replay_window`).  Results are
-        bit-identical with and without a memo by construction
-        (test-enforced).
+        skip the simulation entirely; a unit-level hit skips that
+        unit's timing loop.  Results are bit-identical with and without
+        a memo by construction (test-enforced).
     """
     if unit_size < 1 or interval < 1:
         raise ValueError("unit_size and interval must be positive")
@@ -126,65 +162,52 @@ def smarts_simulate(
                 f"{detailed_warmup}|{detailed_cooldown}"
             ).encode()
         )
+    schedule, units = smarts_schedule(
+        n, unit_size, interval, offset, detailed_warmup, detailed_cooldown
+    )
     model = OooTimingModel(exe, config)
+    # Computed on the first unit the memo does not serve.
+    outcomes = None
     unit_cpis: List[float] = []
-    pos = 0
-    unit_index = 0
-    while pos < n:
-        end = min(pos + unit_size, n)
-        if unit_index % interval == offset % interval:
-            warm_start = max(0, pos - detailed_warmup)
-            cool_end = min(n, end + detailed_cooldown)
-            unit_key = None
-            unit_hit = None
-            if memo is not None:
-                h = chain.copy()
-                h.update(packed.segment_bytes(pos, cool_end))
-                h.update(f"|{warm_start}|{pos}|{end}|{cool_end}".encode())
-                unit_key = h.hexdigest()
-                unit_hit = memo.get_unit(unit_key)
-            if unit_hit is not None:
-                # The unit's cycles come from the memo; replay the
-                # window so caches/predictors end up exactly as the
-                # detailed simulation would have left them (subsequent
-                # units stay bit-identical).
-                with span(
-                    "smarts.replay_unit", unit=unit_index, instructions=end - pos
-                ):
-                    model.replay_window(trace, warm_start, cool_end)
-                _UNITS_SAMPLED.inc()
-                _UNITS_REPLAYED.inc()
-                cycles, instructions = unit_hit
-                if instructions > 0:
-                    unit_cpis.append(cycles / instructions)
-            else:
-                with span(
-                    "smarts.detailed_unit", unit=unit_index, instructions=end - pos
-                ):
-                    result = model.simulate_window(
-                        trace, warm_start, cool_end, measure_from=pos, measure_to=end
-                    )
-                _UNITS_SAMPLED.inc()
-                if memo is not None:
-                    memo.put_unit(unit_key, result.cycles, result.instructions)
-                # Keep cache/predictor state consistent: the cooldown
-                # instructions were simulated in detail, which already warmed
-                # them; skip re-warming only for the unit itself.
-                if result.instructions > 0:
-                    unit_cpis.append(result.cycles / result.instructions)
+    w = 0
+    for warm_start, cool_end, detailed in schedule:
+        if not detailed:
+            if chain is not None:
+                chain.update(packed.segment_bytes(warm_start, cool_end))
+            continue
+        unit_index, pos, end = units[w]
+        unit_key = unit_hit = None
+        if chain is not None:
+            h = chain.copy()
+            h.update(packed.segment_bytes(pos, cool_end))
+            h.update(f"|{warm_start}|{pos}|{end}|{cool_end}".encode())
+            unit_key = h.hexdigest()
+            unit_hit = memo.get_unit(unit_key)
+        if unit_hit is not None:
+            _UNITS_REPLAYED.inc()
+            cycles, instructions = unit_hit
         else:
-            with span("smarts.warm", unit=unit_index, instructions=end - pos):
-                model.warm(trace, pos, end)
-            _UNITS_SKIPPED.inc()
-        if memo is not None:
+            if outcomes is None:
+                outcomes = model.outcomes(trace, schedule)
+            with span("smarts.detailed_unit", unit=unit_index, instructions=end - pos):
+                result = model.time_window(outcomes, w, pos, end)
+            cycles, instructions = result.cycles, result.instructions
+            if memo is not None:
+                memo.put_unit(unit_key, cycles, instructions)
+        if instructions > 0:
+            unit_cpis.append(cycles / instructions)
+        if chain is not None:
             chain.update(packed.segment_bytes(pos, end))
-        pos = end
-        unit_index += 1
+        w += 1
+    _UNITS_SAMPLED.inc(len(units))
+    _UNITS_SKIPPED.inc(len(schedule) - len(units))
 
     if not unit_cpis:
-        # Degenerate short trace: fall back to detailed simulation.
+        # No unit sampled (a short trace): time the whole trace in
+        # detail, after the warm-only units.
         with span("smarts.fallback_detailed", instructions=n):
-            result = model.simulate_trace(trace)
+            fallback = schedule + ((0, n, True),)
+            result = model.time_window(model.outcomes(trace, fallback), 0)
         outcome = SmartsResult(
             estimated_cycles=float(result.cycles),
             cpi=result.cpi,
@@ -212,16 +235,7 @@ def smarts_simulate(
             instructions=n,
         )
     if memo is not None:
-        memo.put_run(
-            run_key,
-            {
-                "estimated_cycles": outcome.estimated_cycles,
-                "cpi": outcome.cpi,
-                "relative_error": outcome.relative_error,
-                "sampled_units": outcome.sampled_units,
-                "instructions": outcome.instructions,
-            },
-        )
+        memo.put_run(run_key, asdict(outcome))
     return outcome
 
 

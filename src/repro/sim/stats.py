@@ -8,9 +8,8 @@ user would read from ``sim-outorder``'s summary output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.codegen.isa import OpClass
 from repro.codegen.linker import Executable
 from repro.sim.config import MicroarchConfig
 from repro.sim.ooo import OooTimingModel, TimingResult
@@ -94,13 +93,17 @@ def detailed_statistics(
     """Run a detailed simulation and collect the full counter set."""
     model = OooTimingModel(exe, config)
     timing = model.simulate_trace(trace)
-    hierarchy = model.hierarchy
+    c = model.counts
     return RunStatistics(
         timing=timing,
         mix=instruction_mix(exe, trace),
-        il1_miss_rate=hierarchy.il1.miss_rate(),
-        dl1_miss_rate=hierarchy.dl1.miss_rate(),
-        ul2_miss_rate=hierarchy.ul2.miss_rate(),
-        branch_mispredict_rate=model.bpred.misprediction_rate(),
-        memory_bus_accesses=hierarchy.memory_accesses,
+        il1_miss_rate=_share(c.il1_misses, c.il1_hits + c.il1_misses),
+        dl1_miss_rate=_share(c.dl1_misses, c.dl1_hits + c.dl1_misses),
+        ul2_miss_rate=_share(c.ul2_misses, c.ul2_hits + c.ul2_misses),
+        branch_mispredict_rate=_share(c.bpred_mispredictions, c.bpred_lookups),
+        memory_bus_accesses=c.memory_accesses,
     )
+
+
+def _share(part: int, total: int) -> float:
+    return part / total if total else 0.0

@@ -13,10 +13,8 @@ window and every microarchitecture sharing the trace:
   ``(pc, ea)`` tuples, so existing consumers (``instruction_mix``,
   ``detailed_statistics``, tests) keep working unchanged.
 * :class:`TraceTables` -- per-position class codes, latencies, register
-  tables and byte addresses, plus per-``block_size`` instruction-block
-  ids and the merged *warm event list* (positions where functional
-  warming must touch a cache, predictor or the RAS -- everything else
-  is skipped entirely).
+  and branch tables, the positions each outcome pass visits
+  (:mod:`repro.sim.outcomes`), and the memoized passes themselves.
 
 Tables are attached to the ``Executable`` object (``_repro_*``
 attributes), so they live and die with the binary+trace cache entry in
@@ -34,8 +32,10 @@ import numpy as np
 
 from repro.codegen.isa import OpClass, RA, ZERO
 from repro.codegen.linker import Executable, INSTR_BYTES, TEXT_BASE
+from repro.obs import span
 
-# Class codes shared with repro.sim.ooo (indexable, faster than Enum).
+# Class codes shared with repro.sim.ooo (indexable, faster than Enum).  The
+# timing loop relies on the ALU and FP codes coming before LOAD.
 IALU, IMULT, FPALU, FPMULT, LOAD, STORE, BRANCH, JUMP, CALL, RET, PF, NOP = range(12)
 
 CLASS_CODE = {
@@ -52,12 +52,6 @@ CLASS_CODE = {
     OpClass.PREFETCH: PF,
     OpClass.NOP: NOP,
 }
-
-#: Warm-event kinds (ordered: the instruction-block event of a position
-#: must be processed before the same position's data/control event).
-#: ``EV_JUMP`` exists for :meth:`repro.sim.ooo.OooTimingModel.replay_window`
-#: only (jumps redirect fetch); the warm loop ignores it.
-EV_INST, EV_DATA, EV_PF, EV_BRANCH, EV_CALL, EV_RET, EV_JUMP = range(7)
 
 
 def _md5(data: bytes) -> "hashlib._Hash":
@@ -166,11 +160,12 @@ def static_digest(exe: Executable) -> str:
 class TraceTables:
     """Per-(executable, trace) flattened lookup tables.
 
-    Everything here is a plain python list (fast scalar indexing) built
-    from one vectorized numpy pass.  Per-``block_size`` artifacts (block
-    ids, warm event lists) and per-``issue_width`` latencies are cached
-    in dicts, since those are the only microarchitectural parameters the
-    tables depend on.  The tables keep the executable's instruction
+    The per-position tables are plain python lists (fast scalar
+    indexing) built from one vectorized numpy pass; the position sets
+    the outcome passes visit are numpy arrays.  Per-``issue_width``
+    latencies and per-``block_size`` block changes are cached in dicts,
+    since those are the only microarchitectural parameters the tables
+    depend on.  The tables keep the executable's instruction
     list, not the executable: :func:`tables_for` attaches them to the
     executable, and a back reference would make a cycle that only the
     garbage collector could free.
@@ -204,9 +199,6 @@ class TraceTables:
         self.cls: List[int] = np.take(cls_pc, pcs).tolist() if n else []
         self.dst: List[int] = np.take(dst_pc, pcs).tolist() if n else []
         self.srcs: List[Tuple[int, ...]] = [srcs_pc[pc] for pc in self.pcs]
-        self.byte_addr: List[int] = (
-            (pcs * INSTR_BYTES + TEXT_BASE).tolist() if n else []
-        )
         # taken[i]: the control transfer at position i changed the pc
         # stream (next_pc != pc + 1); the final position counts as not
         # taken, exactly as the per-event loops treated it.
@@ -220,8 +212,11 @@ class TraceTables:
             self.taken = []
             self.next_pc = []
         self._lat: Dict[int, List[int]] = {}
-        self._blocks: Dict[int, List[int]] = {}
-        self._events: Dict[int, Tuple[List[int], List[int]]] = {}
+        self._changes: Dict[int, np.ndarray] = {}
+        self._positions: Optional[Dict[str, np.ndarray]] = None
+        #: Memoized outcome passes (:mod:`repro.sim.outcomes`), keyed on
+        #: (level, schedule, geometry).  They die with these tables.
+        self.outcomes: Dict[tuple, object] = {}
 
     # -- per-issue-width latency table ----------------------------------
     def lat_for(self, mdesc) -> List[int]:
@@ -238,61 +233,29 @@ class TraceTables:
         self._lat[width] = lat
         return lat
 
-    # -- per-block-size artifacts ---------------------------------------
-    def blocks_for(self, block_size: int) -> List[int]:
-        """Instruction-block id per position."""
-        hit = self._blocks.get(block_size)
-        if hit is not None:
-            return hit
-        blocks = (
-            ((self.trace.pcs * INSTR_BYTES + TEXT_BASE) // block_size).tolist()
-            if self.n
-            else []
-        )
-        self._blocks[block_size] = blocks
-        return blocks
+    # -- outcome-pass streams -------------------------------------------
+    def block_changes(self, block_size: int) -> np.ndarray:
+        """Positions whose instruction block differs from the previous
+        position's (position 0 is never listed)."""
+        hit = self._changes.get(block_size)
+        if hit is None:
+            blocks = (self.trace.pcs * INSTR_BYTES + TEXT_BASE) // block_size
+            hit = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
+            self._changes[block_size] = hit
+        return hit
 
-    def events_for(self, block_size: int) -> Tuple[List[int], List[int]]:
-        """Merged warm-event list for one block size.
-
-        Returns parallel lists ``(positions, kinds)`` sorted by
-        ``(position, kind)``: instruction-block-change events
-        (``EV_INST``) precede the same position's data/control event,
-        mirroring the order the sequential warm loop touched state in.
-        Position 0 never carries an ``EV_INST`` entry -- window starts
-        force their own first instruction access, because warming resets
-        its block tracker per call.
-        """
-        hit = self._events.get(block_size)
-        if hit is not None:
-            return hit
-        n = self.n
-        if n == 0:
-            self._events[block_size] = ([], [])
-            return self._events[block_size]
-        blocks = np.asarray(self.blocks_for(block_size), dtype=np.int64)
-        cls = np.asarray(self.cls, dtype=np.int64)
-        change = np.flatnonzero(blocks[1:] != blocks[:-1]) + 1
-        pos_parts = [change]
-        kind_parts = [np.full(change.shape, EV_INST, dtype=np.int64)]
-        for code, kind in (
-            (LOAD, EV_DATA),
-            (STORE, EV_DATA),
-            (PF, EV_PF),
-            (BRANCH, EV_BRANCH),
-            (CALL, EV_CALL),
-            (RET, EV_RET),
-            (JUMP, EV_JUMP),
-        ):
-            where = np.flatnonzero(cls == code)
-            pos_parts.append(where)
-            kind_parts.append(np.full(where.shape, kind, dtype=np.int64))
-        pos = np.concatenate(pos_parts)
-        kind = np.concatenate(kind_parts)
-        order = np.lexsort((kind, pos))
-        result = (pos[order].tolist(), kind[order].tolist())
-        self._events[block_size] = result
-        return result
+    def positions(self, kind: str) -> np.ndarray:
+        """Sorted positions of one kind of access: ``"data"`` (loads,
+        stores, prefetches), ``"branch"`` (conditional branches) or
+        ``"callret"`` (calls and returns)."""
+        if self._positions is None:
+            cls = np.take(self.cls_pc, self.trace.pcs)
+            self._positions = {
+                "data": np.flatnonzero((cls == LOAD) | (cls == STORE) | (cls == PF)),
+                "branch": np.flatnonzero(cls == BRANCH),
+                "callret": np.flatnonzero((cls == CALL) | (cls == RET)),
+            }
+        return self._positions[kind]
 
 
 def as_packed(trace: Sequence[Tuple[int, int]]) -> PackedTrace:
@@ -325,6 +288,7 @@ def tables_for(exe: Executable, trace: Sequence[Tuple[int, int]]) -> TraceTables
     hit = registry.get(id(trace))
     if hit is not None and hit[0] is trace:
         return hit[1]
-    tables = TraceTables(exe, as_packed(trace))
+    with span("sim.trace_tables", instructions=len(trace)):
+        tables = TraceTables(exe, as_packed(trace))
     registry[id(trace)] = (trace, tables)
     return tables

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.harness.configs import TABLE5_CONFIGS
+import repro.harness.measure as measure_module
 from repro.harness.measure import (
     _BATCH_SUBMITTED,
+    BatchMeasurementError,
     EngineOracle,
     Measurement,
     MeasurementEngine,
@@ -31,6 +33,35 @@ def _random_points(n, seed=0):
 
 
 class TestMeasureBatch:
+    def test_failing_point_fails_alone(self, monkeypatch):
+        """One point of a pooled gzip batch raises in its worker: the
+        other five results are banked in the engine, and one error names
+        the failed point."""
+        typical = TABLE5_CONFIGS["typical"]
+        configs = [replace(typical, ruu_size=r) for r in (16, 24, 32, 48, 64, 128)]
+        simulate = measure_module.simulate
+
+        def flaky(exe, config, **kwargs):
+            if config.ruu_size == 48:
+                raise RuntimeError("injected failure")
+            return simulate(exe, config, **kwargs)
+
+        # Pool workers fork from this process and inherit the patch.
+        monkeypatch.setattr(measure_module, "simulate", flaky)
+        engine = MeasurementEngine()
+        requests = [("gzip", O2, m, "train") for m in configs]
+        with pytest.raises(BatchMeasurementError) as info:
+            engine.measure_many(requests, jobs=2)
+        (failure,) = info.value.failures
+        assert failure.requests == [3] and failure.workload == "gzip"
+        assert "injected failure" in str(info.value)
+        assert "in flaky" in failure.traceback
+        assert engine.simulations == 5
+        monkeypatch.setattr(measure_module, "simulate", simulate)
+        kept = engine.measure_many([r for i, r in enumerate(requests) if i != 3])
+        assert engine.simulations == 5, "a good result was lost"
+        assert len(kept) == 5
+
     def test_parallel_identical_to_serial(self):
         """jobs=4 must reproduce the serial engine measurement-for-
         measurement (a point's measurement is a pure function of its

@@ -72,8 +72,7 @@ class TestTimingBasics:
         exe, fr = build(ALL_PROGRAMS["sum_loop"])
         model = OooTimingModel(exe, MicroarchConfig())
         n = len(fr.trace)
-        res = model.simulate_window(fr.trace, 0, n, measure_from=n // 4,
-                                    measure_to=n // 2)
+        (res,) = model.run(fr.trace, [(0, n, True)], [(n // 4, n // 2)])
         assert res.instructions == n // 2 - n // 4
         assert 0 < res.cycles
 

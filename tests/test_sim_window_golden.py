@@ -1,8 +1,10 @@
-"""Bit-identity of ``OooTimingModel.simulate_window`` bracketing.
+"""Bit-identity of the timing loop's measurement bracketing.
 
 ``tests/data/golden_simulate_window.json`` holds cycles and instruction
 counts captured from the deque-based RUU implementation, for a
 back-to-back sequence of windows on one model per configuration.  The
+sequence runs here as one schedule of detailed segments, so caches and
+predictors carry over between windows exactly as they did.  The
 ``measure_from``/``measure_to`` bounds cover every case the loop must
 keep: at ``start``, at ``end``, interior, past ``end`` and before
 ``start``, plus an empty window.  The cache and predictor statistics
@@ -38,17 +40,19 @@ def test_simulate_window_bracketing_is_bit_identical(entry):
     )
     trace = execute(exe, collect_trace=True).trace
     model = OooTimingModel(exe, config)
-    for w in entry["windows"]:
-        kw = {}
-        if w["measure_from"] is not None:
-            kw = {"measure_from": w["measure_from"], "measure_to": w["measure_to"]}
-        r = model.simulate_window(trace, w["start"], w["end"], **kw)
+    windows = entry["windows"]
+    results = model.run(
+        trace,
+        [(w["start"], w["end"], True) for w in windows],
+        [(w["measure_from"], w["measure_to"]) for w in windows],
+    )
+    for w, r in zip(windows, results):
         assert (r.cycles, r.instructions) == (w["cycles"], w["instructions"]), w
-    h = model.hierarchy
+    c = model.counts
     assert entry["stats"] == {
-        "il1": [h.il1.hits, h.il1.misses],
-        "dl1": [h.dl1.hits, h.dl1.misses],
-        "ul2": [h.ul2.hits, h.ul2.misses],
-        "memory_accesses": h.memory_accesses,
-        "bpred": [model.bpred.lookups, model.bpred.mispredictions],
+        "il1": [c.il1_hits, c.il1_misses],
+        "dl1": [c.dl1_hits, c.dl1_misses],
+        "ul2": [c.ul2_hits, c.ul2_misses],
+        "memory_accesses": c.memory_accesses,
+        "bpred": [c.bpred_lookups, c.bpred_mispredictions],
     }
